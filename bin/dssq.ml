@@ -1,10 +1,19 @@
 (* dssq — command-line front end for the DSS queue reproduction.
 
-     dssq fig5a / fig5b / ablate-*   experiment drivers (same as bench)
-     dssq crash-demo                 interactive crash/recovery walkthrough
-     dssq lincheck                   randomized strict-linearizability testing
+     dssq all                        every figure and ablation, short defaults
+     dssq fig5a / fig5b              the paper's Figure 5a / 5b
+     dssq ablate-*                   the DESIGN.md ablations
      dssq latency                    modelled per-op latency table
-     dssq info                       inventory of what this repo implements *)
+     dssq regress / bench-diff       benchmark-regression sweep and its gate
+     dssq combine / pad-sweep        flat-combining and padding-stride sweeps
+     dssq bechamel                   wall-clock per-op latency (native)
+     dssq crash-demo                 interactive crash/recovery walkthrough
+     dssq lincheck / explore         linearizability testing, model checking
+     dssq info                       inventory of what this repo implements
+
+   Experiments run on the discrete-event simulated multiprocessor unless
+   --backend native is given: the sim is seeded and deterministic, so its
+   tables reproduce exactly on any host. *)
 
 module Experiments = Dssq_workload.Experiments
 module Report = Dssq_workload.Report
@@ -17,31 +26,75 @@ module Recorder = Dssq_history.Recorder
 module Lincheck = Dssq_lincheck.Lincheck
 module Trace = Dssq_obs.Trace
 module Json = Dssq_obs.Json
+module Run_report = Dssq_obs.Run_report
+module MI = Dssq_memory.Memory_intf
 open Cmdliner
 
-let render ~title ~x_label ~y_label series =
-  Report.print_table ~title ~x_label ~y_label series;
-  Report.print_chart series
+(* --------------------------- shared options --------------------------- *)
 
-(* ------------------------------ figures ------------------------------ *)
+(* Numeric flags are validated at parse time, so a bad value exits 124
+   (cmdliner's command-line error) instead of running into a table of
+   NaNs or an uncaught [Invalid_argument] mid-run. *)
+let checked_conv ~expected of_string pp ok =
+  let parse s =
+    match of_string s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, pp)
+
+let pos_int =
+  checked_conv ~expected:"a positive integer" int_of_string_opt
+    Format.pp_print_int (fun n -> n >= 1)
+
+let pos_float =
+  checked_conv ~expected:"a positive number" float_of_string_opt
+    Format.pp_print_float (fun x -> x > 0. && Float.is_finite x)
+
+let percent =
+  checked_conv ~expected:"a percentage from 0 to 100" int_of_string_opt
+    Format.pp_print_int (fun n -> n >= 0 && n <= 100)
+
+let backend_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("sim", Experiments.Sim_model);
+             ("native", Experiments.Native_domains);
+           ])
+        Experiments.Sim_model
+    & info [ "backend" ]
+        ~doc:
+          "memory backend: $(b,sim) (simulated multiprocessor, default) or \
+           $(b,native) (real domains)")
+
+let backend_name = function
+  | Experiments.Sim_model -> "sim"
+  | Experiments.Native_domains -> "native"
 
 let threads_arg =
   Arg.(
     value
-    & opt (list int) [ 1; 2; 4; 8; 12; 16; 20 ]
-    & info [ "threads" ] ~doc:"thread counts")
+    & opt (list pos_int) Experiments.default_threads
+    & info [ "threads" ] ~docv:"COUNTS" ~doc:"thread counts to sweep")
 
-let repeats_arg = Arg.(value & opt int 3 & info [ "repeats" ] ~doc:"samples")
+let nthreads_arg =
+  Arg.(value & opt pos_int 8 & info [ "nthreads" ] ~doc:"thread count")
 
-(* A line size of 0 (or less) would only surface later as an
-   [Invalid_argument] from [Line.Alloc.create]; reject it at parse time. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+let repeats_arg =
+  Arg.(value & opt pos_int 3 & info [ "repeats" ] ~doc:"samples per point")
+
+let horizon_us_arg =
+  Arg.(
+    value & opt pos_float 300.
+    & info [ "horizon-us" ] ~doc:"simulated time per sample (sim backend)")
+
+let duration_arg =
+  Arg.(
+    value & opt pos_float 0.2
+    & info [ "duration" ] ~doc:"seconds per sample (native backend)")
 
 let line_size_arg =
   Arg.(
@@ -87,6 +140,9 @@ let persistency_arg =
            or, under the explorer, the crash adversary — writes them \
            back)")
 
+let csv_arg =
+  Arg.(value & flag & info [ "csv" ] ~doc:"also print the table as CSV")
+
 let json_arg =
   Arg.(
     value
@@ -94,162 +150,252 @@ let json_arg =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"write a schema-versioned JSON run report to $(docv)")
 
-let write_report ~experiment ~x_label ~y_label ?(params = []) ?(provenance = [])
-    series file =
-  let report =
-    Dssq_obs.Run_report.make ~backend:"sim" ~experiment ~x_label ~y_label
-      ~params ~provenance series
-  in
-  match Dssq_obs.Run_report.write file report with
-  | () ->
-      Printf.printf "wrote %s (%s v%d)\n" file Dssq_obs.Run_report.schema_name
-        Dssq_obs.Run_report.schema_version
-  | exception Sys_error msg ->
-      Printf.eprintf "dssq: cannot write report: %s\n" msg;
-      exit 1
+let ints l = String.concat "," (List.map string_of_int l)
 
-let fig_params ~threads ~repeats ~line_size ~coalesce =
-  [
-    ("threads", String.concat "," (List.map string_of_int threads));
-    ("repeats", string_of_int repeats);
-    ("line_size", string_of_int line_size);
-    ("coalesce", string_of_bool coalesce);
-  ]
+(* The persist-mode suffix of a run header: sim+coalesce+px86+fc. *)
+let mode_suffix ~coalesce ~combine persistency =
+  (if coalesce then "+coalesce" else "")
+  ^ (if persistency = Heap.Persistency.Px86 then "+px86" else "")
+  ^ if combine then "+fc" else ""
 
 (* Machine-readable run provenance (schema v5): the memory-model knobs
    that decide whether two archived reports are comparable at all.  The
    git revision is stamped by [Run_report.make] itself. *)
-let provenance ?threads ~line_size ~coalesce () =
-  (match threads with
-  | None -> []
-  | Some t -> [ ("threads", String.concat "," (List.map string_of_int t)) ])
-  @ [
-      ("line_size", string_of_int line_size);
-      ("coalesce", string_of_bool coalesce);
-    ]
+let provenance ?threads ~line_sizes ~coalesce () =
+  (match threads with None -> [] | Some t -> [ ("threads", ints t) ])
+  @ [ ("line_size", ints line_sizes); ("coalesce", string_of_bool coalesce) ]
 
-let fig5a_cmd =
-  let run threads repeats line_size coalesce json =
-    match json with
-    | None ->
-        render ~title:"Figure 5a" ~x_label:"threads" ~y_label:"Mops/s"
-          (Experiments.fig5a ~threads ~repeats ~line_size ~coalesce ())
-    | Some file ->
-        (* Instrumented run: same figure, plus events + latency in JSON. *)
-        let series =
-          Experiments.fig5a_ex ~threads ~repeats ~line_size ~coalesce
-            ~instrument:true ()
-        in
-        render ~title:"Figure 5a" ~x_label:"threads" ~y_label:"Mops/s"
-          (Report.of_run series);
-        write_report ~experiment:"fig5a" ~x_label:"threads" ~y_label:"Mops/s"
-          ~params:(fig_params ~threads ~repeats ~line_size ~coalesce)
-          ~provenance:(provenance ~threads ~line_size ~coalesce ())
-          series file
+(* Each report carries the registry-metrics delta over its own run, not
+   the process-lifetime snapshot: [dssq all] runs every experiment in one
+   process, and without {!Metrics.mark} isolation a later report would
+   include the earlier runs' counters. *)
+let make_report ?(backend = "sim") ?recovery ~experiment ~x_label ~y_label
+    ~params ~provenance ~marked series =
+  Run_report.make ~backend ~experiment ~x_label ~y_label ~params ~provenance
+    ?recovery
+    ~metrics:(Dssq_obs.Metrics.delta_since marked)
+    series
+
+let write_report file report =
+  match Run_report.write file report with
+  | () ->
+      Printf.printf "wrote %s (%s v%d)\n" file Run_report.schema_name
+        Run_report.schema_version
+  | exception Sys_error msg ->
+      Printf.eprintf "dssq: cannot write report: %s\n" msg;
+      exit 1
+
+let render ~title ~x_label ~y_label ~csv series =
+  Report.print_table ~title ~x_label ~y_label series;
+  Report.print_chart series;
+  if csv then print_string (Report.to_csv ~x_label series)
+
+let per_op ops n = float_of_int n /. float_of_int (max 1 ops)
+
+(* ------------------------------ figures ------------------------------ *)
+
+(* Name, one-line doc, table title and sweep of each figure. *)
+let figure = function
+  | `Fig5a ->
+      ( "fig5a",
+        "Figure 5a: MS queue vs DSS non-detectable vs DSS detectable",
+        "Figure 5a: levels of detectability and persistence (alternating \
+         enqueue/dequeue pairs, queue seeded with 16 nodes)",
+        Experiments.fig5a )
+  | `Fig5b ->
+      ( "fig5b",
+        "Figure 5b: DSS queue vs log queue vs Fast/General CASWithEffect",
+        "Figure 5b: detectable queue implementations (all operations \
+         detectable)",
+        Experiments.fig5b )
+
+let run_fig fig backend threads repeats horizon_us duration line_size coalesce
+    csv json =
+  let experiment, _, title, sweep = figure fig in
+  let marked = Dssq_obs.Metrics.mark () in
+  (* A --json run is instrumented: same figure, plus events and latency
+     histograms in the report. *)
+  let series =
+    sweep ~backend ~threads ~repeats ~horizon_ns:(horizon_us *. 1000.)
+      ~duration ~line_size ~coalesce ~instrument:(Option.is_some json) ()
   in
-  Cmd.v (Cmd.info "fig5a" ~doc:"regenerate Figure 5a")
+  render ~title ~x_label:"threads" ~y_label:"Mops/s" ~csv (Report.of_run series);
+  Option.iter
+    (fun file ->
+      write_report file
+        (make_report ~backend:(backend_name backend) ~experiment
+           ~x_label:"threads" ~y_label:"Mops/s"
+           ~params:
+             [
+               ("threads", ints threads);
+               ("repeats", string_of_int repeats);
+               ("line_size", string_of_int line_size);
+               ("coalesce", string_of_bool coalesce);
+             ]
+           ~provenance:
+             (provenance ~threads ~line_sizes:[ line_size ] ~coalesce ())
+           ~marked series))
+    json
+
+let fig_cmd fig =
+  let name, doc, _, _ = figure fig in
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ threads_arg $ repeats_arg $ line_size_arg $ coalesce_arg
+      const (run_fig fig) $ backend_arg $ threads_arg $ repeats_arg
+      $ horizon_us_arg $ duration_arg $ line_size_arg $ coalesce_arg $ csv_arg
       $ json_arg)
 
-let fig5b_cmd =
-  let run threads repeats line_size coalesce json =
-    match json with
-    | None ->
-        render ~title:"Figure 5b" ~x_label:"threads" ~y_label:"Mops/s"
-          (Experiments.fig5b ~threads ~repeats ~line_size ~coalesce ())
-    | Some file ->
-        let series =
-          Experiments.fig5b_ex ~threads ~repeats ~line_size ~coalesce
-            ~instrument:true ()
-        in
-        render ~title:"Figure 5b" ~x_label:"threads" ~y_label:"Mops/s"
-          (Report.of_run series);
-        write_report ~experiment:"fig5b" ~x_label:"threads" ~y_label:"Mops/s"
-          ~params:(fig_params ~threads ~repeats ~line_size ~coalesce)
-          ~provenance:(provenance ~threads ~line_size ~coalesce ())
-          series file
-  in
-  Cmd.v (Cmd.info "fig5b" ~doc:"regenerate Figure 5b")
-    Term.(
-      const run $ threads_arg $ repeats_arg $ line_size_arg $ coalesce_arg
-      $ json_arg)
+(* ----------------------------- ablations ----------------------------- *)
 
-let ablate_cmd ~name ~doc ~title ~x_label ~y_label f =
-  let run line_size json =
-    let series = f ~line_size () in
-    render ~title ~x_label ~y_label series;
-    Option.iter
-      (fun file ->
-        write_report ~experiment:name ~x_label ~y_label
-          ~params:[ ("line_size", string_of_int line_size) ]
-          ~provenance:(provenance ~line_size ~coalesce:false ())
-          (Report.to_run series) file)
-      json
-  in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ line_size_arg $ json_arg)
+(* One DESIGN.md ablation.  Those that sweep simulated throughput take
+   --nthreads/--repeats/--horizon-us; the others (recovery events, crash
+   MTBF, PMwCAS width) run a fixed configuration and ignore them. *)
+type ablation = {
+  name : string;
+  doc : string;
+  x_label : string;
+  y_label : string;
+  timed : bool;
+  sweep :
+    nthreads:int ->
+    repeats:int ->
+    horizon_ns:float ->
+    line_size:int ->
+    string * Report.series list;
+}
 
-let ablate_cmds =
+let ablations =
+  let timed name doc x_label title f =
+    {
+      name;
+      doc;
+      x_label;
+      y_label = "Mops/s";
+      timed = true;
+      sweep =
+        (fun ~nthreads ~repeats ~horizon_ns ~line_size ->
+          ( Printf.sprintf title nthreads,
+            f ~nthreads ~repeats ~horizon_ns ~line_size ));
+    }
+  in
+  let fixed name doc x_label y_label title f =
+    {
+      name;
+      doc;
+      x_label;
+      y_label;
+      timed = false;
+      sweep =
+        (fun ~nthreads:_ ~repeats:_ ~horizon_ns:_ ~line_size ->
+          (title, f ~line_size));
+    }
+  in
   [
-    ablate_cmd ~name:"ablate-flush" ~doc:"persist-latency sweep"
-      ~title:"Persist-cost ablation" ~x_label:"flush_ns" ~y_label:"Mops/s"
-      (fun ~line_size () -> Experiments.ablate_flush ~line_size ());
-    ablate_cmd ~name:"ablate-demand" ~doc:"detectability-fraction sweep"
-      ~title:"Detectability on demand" ~x_label:"det_pct" ~y_label:"Mops/s"
-      (fun ~line_size () -> Experiments.ablate_demand ~line_size ());
-    ablate_cmd ~name:"ablate-recovery" ~doc:"recovery-style comparison"
-      ~title:"Recovery styles" ~x_label:"queue_len" ~y_label:"memory events"
-      (fun ~line_size () -> Experiments.ablate_recovery ~line_size ());
-    ablate_cmd ~name:"ablate-pmwcas" ~doc:"PMwCAS width sweep"
-      ~title:"PMwCAS width" ~x_label:"width" ~y_label:"ns/op"
-      (fun ~line_size () -> Experiments.ablate_pmwcas ~line_size ());
-    ablate_cmd ~name:"ablate-crashes" ~doc:"throughput under periodic crashes"
-      ~title:"Failure-full throughput" ~x_label:"mtbf_us" ~y_label:"Mops/s"
-      (fun ~line_size () -> Experiments.ablate_crash_mtbf ~line_size ());
+    timed "ablate-flush" "sweep the simulated CLWB+sfence latency" "flush_ns"
+      "Ablation: persist-instruction latency sweep (%d threads)"
+      (fun ~nthreads ~repeats ~horizon_ns ~line_size ->
+        Experiments.ablate_flush ~nthreads ~repeats ~horizon_ns ~line_size ());
+    timed "ablate-demand"
+      "sweep the fraction of operations requesting detectability" "det_pct"
+      "Ablation: detectability on demand — fraction of detectable pairs (%d \
+       threads, DSS queue)"
+      (fun ~nthreads ~repeats ~horizon_ns ~line_size ->
+        Experiments.ablate_demand ~nthreads ~repeats ~horizon_ns ~line_size ());
+    fixed "ablate-recovery" "centralized (Figure 6) vs per-thread recovery cost"
+      "queue_len" "memory events"
+      "Ablation: recovery styles — memory events to recover vs queue length"
+      (fun ~line_size -> Experiments.ablate_recovery ~line_size ());
+    fixed "ablate-depth" "initial queue depth sweep" "depth" "Mops/s"
+      "Ablation: initial queue depth (8 threads)"
+      (fun ~line_size -> Experiments.ablate_depth ~line_size ());
+    fixed "ablate-crashes" "throughput under periodic crashes (MTBF sweep)"
+      "mtbf_us" "Mops/s"
+      "Ablation: failure-full throughput — effective Mops/s vs crash MTBF (8 \
+       threads, recovery charged)"
+      (fun ~line_size -> Experiments.ablate_crash_mtbf ~line_size ());
+    fixed "ablate-pmwcas" "PMwCAS cost vs number of words" "width" "ns/op"
+      "Ablation: PMwCAS width — modelled ns per operation"
+      (fun ~line_size -> Experiments.ablate_pmwcas ~line_size ());
   ]
+
+let run_ablation a ~nthreads ~repeats ~horizon_us ~line_size ~csv ~json =
+  let marked = Dssq_obs.Metrics.mark () in
+  let title, series =
+    a.sweep ~nthreads ~repeats ~horizon_ns:(horizon_us *. 1000.) ~line_size
+  in
+  render ~title ~x_label:a.x_label ~y_label:a.y_label ~csv series;
+  Option.iter
+    (fun file ->
+      write_report file
+        (make_report ~experiment:a.name ~x_label:a.x_label ~y_label:a.y_label
+           ~params:
+             ((if a.timed then
+                 [
+                   ("threads", string_of_int nthreads);
+                   ("repeats", string_of_int repeats);
+                 ]
+               else [])
+             @ [ ("line_size", string_of_int line_size) ])
+           ~provenance:(provenance ~line_sizes:[ line_size ] ~coalesce:false ())
+           ~marked (Report.to_run series)))
+    json
+
+let ablation_cmd a =
+  let run nthreads repeats horizon_us line_size csv json =
+    run_ablation a ~nthreads ~repeats ~horizon_us ~line_size ~csv ~json
+  in
+  let sized =
+    if a.timed then Term.(const run $ nthreads_arg $ repeats_arg $ horizon_us_arg)
+    else Term.(const (run 8 3 300.))
+  in
+  Cmd.v (Cmd.info a.name ~doc:a.doc)
+    Term.(sized $ line_size_arg $ csv_arg $ json_arg)
 
 (* ------------------------- ablate-linesize --------------------------- *)
 
-(* The persist-line-size sweep has its own command (rather than joining
-   [ablate_cmds]) because its payload is richer — every point is
-   instrumented, so flushes/op and elided/op per line size are printed
-   and archived — and because its size-1 point doubles as the CI
-   regression anchor for the whole line refactor. *)
-let linesize_run sizes nthreads repeats json anchor =
+(* The persist-line-size sweep has its own command because its payload
+   is richer — every point is instrumented, so flushes/op and elided/op
+   per line size are printed and archived — and because its size-1 point
+   doubles as the CI regression anchor for the whole line refactor. *)
+let run_linesize nthreads sizes repeats horizon_us csv json anchor =
+  let marked = Dssq_obs.Metrics.mark () in
   let series =
-    Experiments.ablate_linesize ~nthreads ~line_sizes:sizes ~repeats ()
+    Experiments.ablate_linesize ~nthreads ~line_sizes:sizes ~repeats
+      ~horizon_ns:(horizon_us *. 1000.) ()
   in
-  render ~title:"Persist-line size" ~x_label:"line_size" ~y_label:"Mops/s"
-    (Report.of_run series);
-  let per_op ops n = float_of_int n /. float_of_int (max 1 ops) in
+  render
+    ~title:
+      (Printf.sprintf
+         "Ablation: persist-line size — cache-line-granular flushing (%d \
+          threads)"
+         nthreads)
+    ~x_label:"line_size" ~y_label:"Mops/s" ~csv (Report.of_run series);
   Printf.printf "%-12s%10s%14s%14s\n" "queue" "line_size" "flushes/op"
     "elided/op";
   List.iter
-    (fun (s : Dssq_obs.Run_report.series) ->
+    (fun (s : Run_report.series) ->
       List.iter
-        (fun (p : Dssq_obs.Run_report.point) ->
+        (fun (p : Run_report.point) ->
           Printf.printf "%-12s%10d%14.2f%14.2f\n" s.label p.x
-            (per_op p.ops p.events.Dssq_memory.Memory_intf.flushes)
-            (per_op p.ops p.events.Dssq_memory.Memory_intf.elided_flushes))
+            (per_op p.ops p.events.MI.flushes)
+            (per_op p.ops p.events.MI.elided_flushes))
         s.points)
     series;
   Option.iter
     (fun file ->
-      write_report ~experiment:"ablate-linesize" ~x_label:"line_size"
-        ~y_label:"Mops/s"
-        ~params:
-          [
-            ("threads", string_of_int nthreads);
-            ("repeats", string_of_int repeats);
-            ("line_sizes", String.concat "," (List.map string_of_int sizes));
-          ]
-        ~provenance:
-          [
-            ("threads", string_of_int nthreads);
-            ("line_size", String.concat "," (List.map string_of_int sizes));
-            ("coalesce", "false");
-          ]
-        series file)
+      write_report file
+        (make_report ~experiment:"ablate-linesize" ~x_label:"line_size"
+           ~y_label:"Mops/s"
+           ~params:
+             [
+               ("threads", string_of_int nthreads);
+               ("repeats", string_of_int repeats);
+               ("line_sizes", ints sizes);
+             ]
+           ~provenance:
+             (provenance ~threads:[ nthreads ] ~line_sizes:sizes ~coalesce:false
+                ())
+           ~marked series))
     json;
   (* CI anchor: at line size 1 the harness must be byte-identical to the
      pre-line-abstraction model, so dss-det's flushes/op is a constant of
@@ -257,34 +403,29 @@ let linesize_run sizes nthreads repeats json anchor =
      semantics. *)
   Option.iter
     (fun expected ->
+      let fail fmt =
+        Printf.ksprintf
+          (fun m ->
+            Printf.eprintf "dssq: anchor check: %s\n" m;
+            exit 1)
+          fmt
+      in
       match
-        List.find_opt
-          (fun (s : Dssq_obs.Run_report.series) -> s.label = "dss-det")
-          series
+        List.find_opt (fun (s : Run_report.series) -> s.label = "dss-det") series
       with
-      | None ->
-          Printf.eprintf "dssq: anchor check: no dss-det series\n";
-          exit 1
+      | None -> fail "no dss-det series"
       | Some s -> (
           match
-            List.find_opt (fun (p : Dssq_obs.Run_report.point) -> p.x = 1)
-              s.points
+            List.find_opt (fun (p : Run_report.point) -> p.x = 1) s.points
           with
-          | None ->
-              Printf.eprintf
-                "dssq: anchor check: no line-size-1 point (add 1 to --sizes)\n";
-              exit 1
+          | None -> fail "no line-size-1 point (add 1 to --sizes)"
           | Some p ->
-              let got =
-                per_op p.ops p.events.Dssq_memory.Memory_intf.flushes
-              in
-              if Float.abs (got -. expected) > 0.01 then begin
-                Printf.eprintf
-                  "dssq: anchor check FAILED: dss-det flushes/op at line size \
-                   1 = %.3f, expected %.3f\n"
+              let got = per_op p.ops p.events.MI.flushes in
+              if Float.abs (got -. expected) > 0.01 then
+                fail
+                  "FAILED: dss-det flushes/op at line size 1 = %.3f, expected \
+                   %.3f"
                   got expected;
-                exit 1
-              end;
               Printf.printf
                 "anchor check passed: dss-det flushes/op at line size 1 = \
                  %.3f (expected %.3f)\n"
@@ -292,14 +433,14 @@ let linesize_run sizes nthreads repeats json anchor =
     anchor
 
 let ablate_linesize_cmd =
+  let nthreads =
+    Arg.(value & opt pos_int 8 & info [ "threads" ] ~doc:"thread count")
+  in
   let sizes =
     Arg.(
       value
       & opt (list pos_int) [ 1; 2; 4; 8; 16 ]
       & info [ "sizes" ] ~doc:"line sizes (words) to sweep")
-  in
-  let nthreads =
-    Arg.(value & opt int 8 & info [ "threads" ] ~doc:"thread count")
   in
   let anchor =
     Arg.(
@@ -314,12 +455,306 @@ let ablate_linesize_cmd =
   Cmd.v
     (Cmd.info "ablate-linesize"
        ~doc:"persist-line-size sweep (instrumented: flushes/op, elided/op)")
-    Term.(const linesize_run $ sizes $ nthreads $ repeats_arg $ json_arg $ anchor)
+    Term.(
+      const run_linesize $ nthreads $ sizes $ repeats_arg $ horizon_us_arg
+      $ csv_arg $ json_arg $ anchor)
+
+(* ------------------------------ latency ------------------------------ *)
+
+let run_latency () =
+  Printf.printf
+    "## Modelled single-thread latency per operation (ns, no contention)\n";
+  Printf.printf "%-16s%14s%14s%9s\n" "queue" "plain_ns" "detectable_ns" "ratio";
+  List.iter
+    (fun (name, nondet, det) ->
+      Printf.printf "%-16s%14.0f%14.0f%9.2f\n" name nondet det
+        (if nondet > 0. then det /. nondet else 0.))
+    (Experiments.op_latency ());
+  print_newline ()
+
+let latency_cmd =
+  Cmd.v
+    (Cmd.info "latency" ~doc:"modelled per-operation latency table")
+    Term.(const run_latency $ const ())
+
+(* ------------------------------- all --------------------------------- *)
+
+let run_all backend threads repeats horizon_us duration csv =
+  let fig f =
+    run_fig f backend threads repeats horizon_us duration 1 false csv None
+  in
+  fig `Fig5a;
+  fig `Fig5b;
+  List.iter
+    (fun a ->
+      run_ablation a ~nthreads:8 ~repeats ~horizon_us ~line_size:1 ~csv
+        ~json:None)
+    ablations;
+  run_linesize 8 [ 1; 2; 4; 8; 16 ] repeats horizon_us csv None None;
+  run_latency ()
+
+let all_cmd =
+  Cmd.v
+    (Cmd.info "all"
+       ~doc:
+         "regenerate the paper's figures (5a, 5b), every DESIGN.md ablation \
+          and the latency table in one run")
+    Term.(
+      const run_all $ backend_arg $ threads_arg $ repeats_arg $ horizon_us_arg
+      $ duration_arg $ csv_arg)
+
+(* ------------------------- regression sweep -------------------------- *)
+
+(* The sweep behind the checked-in BENCH_*.json baselines: compare a
+   fresh report against one with `dssq bench-diff`.  Without --json the
+   tables are printed and nothing is written, so a bare run never
+   overwrites a baseline. *)
+let run_regress quick json =
+  let marked = Dssq_obs.Metrics.mark () in
+  let series = Experiments.regress ~quick () in
+  let recovery = Experiments.recovery_latency ~quick () in
+  render
+    ~title:
+      "Benchmark regression sweep: flush coalescing off vs on (line size 1; \
+       compare reports with `dssq bench-diff`)"
+    ~x_label:"threads" ~y_label:"Mops/s" ~csv:false (Report.of_run series);
+  Option.iter
+    (fun file ->
+      write_report file
+        (make_report ~backend:"mixed" ~recovery ~experiment:"regress"
+           ~x_label:"threads" ~y_label:"Mops/s"
+           ~params:[ ("quick", string_of_bool quick); ("line_size", "1") ]
+           ~provenance:[ ("line_size", "1"); ("coalesce", "off+on") ]
+           ~marked series))
+    json;
+  let find label =
+    List.find_opt (fun (s : Run_report.series) -> s.label = label) series
+  in
+  let mean = Dssq_workload.Stats.mean in
+  (* The coalescing claim: coalescing-on vs -off mean throughput of the
+     detectable DSS queue, per backend and thread count. *)
+  List.iter
+    (fun backend ->
+      match (find (backend ^ "/dss-det"), find (backend ^ "+co/dss-det")) with
+      | Some off, Some on ->
+          List.iter2
+            (fun (po : Run_report.point) (pn : Run_report.point) ->
+              Printf.printf
+                "%s dss-det %2d threads: %.3f -> %.3f Mops/s (%+.1f%%), \
+                 flushes/op %.2f -> %.2f\n"
+                backend po.x (mean po.samples) (mean pn.samples)
+                (100. *. ((mean pn.samples /. mean po.samples) -. 1.))
+                (per_op po.ops po.events.MI.flushes)
+                (per_op pn.ops pn.events.MI.flushes))
+            off.points on.points
+      | _ -> ())
+    [ "sim"; "native" ];
+  (* The flat-combining claim: the engine-backed FC queue (one persist
+     epoch per batch) against the eager detectable queue. *)
+  (match (find "sim/dss-det", find "sim+fc/dss-det") with
+  | Some eager, Some fc ->
+      List.iter
+        (fun (pf : Run_report.point) ->
+          match
+            List.find_opt
+              (fun (pe : Run_report.point) -> pe.x = pf.x)
+              eager.points
+          with
+          | None -> ()
+          | Some pe ->
+              Printf.printf
+                "fc dss-det %2d threads: %.3f vs eager %.3f Mops/s (%.2fx)\n"
+                pf.x (mean pf.samples) (mean pe.samples)
+                (mean pf.samples /. mean pe.samples))
+        fc.points
+  | _ -> ());
+  List.iter
+    (fun (r : Run_report.recovery_point) ->
+      Printf.printf
+        "recovery %s/%s: %.4f ms (%d wal records replayed, %d leaked)\n"
+        r.r_object r.r_backend r.r_ms r.r_replayed r.r_leaked)
+    recovery
+
+let regress_cmd =
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:
+            "CI smoke configuration: sim backend only, 1, 4 and 8 threads \
+             (16 on hosts with at least 16 domains), one repeat \
+             (deterministic)")
+  in
+  Cmd.v
+    (Cmd.info "regress"
+       ~doc:
+         "benchmark-regression sweep (coalescing off vs on, combining) and \
+          crash-to-reattach latency; $(b,--json) writes the BENCH_*.json run \
+          report")
+    Term.(const run_regress $ quick $ json_arg)
+
+(* ------------------------- flat combining ---------------------------- *)
+
+(* Threads x batch size x Mops/s x flushes/op for the engine-backed
+   flat-combining queue against the eager detectable queue, on the
+   simulated multiprocessor (the numbers in EXPERIMENTS.md).  One persist
+   epoch per batch makes flushes/op strictly decreasing in the batch
+   size; `dssq bench-diff --speedup-*` gates the 8-thread speedup from
+   the regress report. *)
+let run_combine threads batches =
+  Printf.printf
+    "## Flat combining: one persist epoch per batch (sim; dss-fc engine \
+     queue vs eager dss-queue, det 100%%)\n";
+  Printf.printf "%8s%8s%12s%10s%10s%10s\n" "threads" "batch" "Mops/s" "fl/op"
+    "fen/op" "speedup";
+  let row (s : Run_report.sample) =
+    (s.mops, per_op s.ops s.events.MI.flushes, per_op s.ops s.events.MI.fences)
+  in
+  List.iter
+    (fun n ->
+      let em, efl, efe =
+        row
+          (Dssq_workload.Sim_throughput.measure_ex ~seed:1 ~mk:"dss-queue"
+             ~det_pct:100 ~nthreads:n ())
+      in
+      Printf.printf "%8d%8s%12.3f%10.3f%10.3f%10s\n" n "eager" em efl efe "1.00x";
+      List.iter
+        (fun b ->
+          let m, fl, fe =
+            row
+              (Dssq_workload.Sim_throughput.measure_ex ~seed:1 ~mk:"dss-fc"
+                 ~det_pct:100 ~combine:true ~batch:b ~nthreads:n ())
+          in
+          Printf.printf "%8d%8d%12.3f%10.3f%10.3f%9.2fx\n" n b m fl fe (m /. em))
+        batches)
+    threads
+
+let combine_cmd =
+  let threads =
+    Arg.(
+      value
+      & opt (list pos_int) [ 1; 4; 8 ]
+      & info [ "threads" ] ~docv:"COUNTS" ~doc:"thread counts to sweep")
+  in
+  let batches =
+    Arg.(
+      value
+      & opt (list pos_int) [ 1; 2; 4; 8; 16; 32 ]
+      & info [ "batches" ] ~docv:"SIZES"
+          ~doc:"batch sizes (operation pairs per persist epoch) to sweep")
+  in
+  Cmd.v
+    (Cmd.info "combine"
+       ~doc:
+         "flat-combining sweep: threads x batch size x Mops/s x flushes/op \
+          (sim backend)")
+    Term.(const run_combine $ threads $ batches)
+
+(* Padding-stride sweep on the native backend: how much isolation stride
+   the contended cells (head/tail/announces) want on real hardware.  On a
+   host with few cores the curve is flat by construction. *)
+let run_pad_sweep pads nthreads duration combine batch =
+  Printf.printf "## Padding-stride sweep (native domains, %d thread(s)%s)\n"
+    nthreads
+    (if combine then Printf.sprintf ", combine batch=%d" batch else "");
+  Printf.printf "%10s%12s\n" "pad_words" "Mops/s";
+  List.iter
+    (fun (pad, mops) -> Printf.printf "%10d%12.3f\n" pad mops)
+    (Dssq_workload.Native_throughput.pad_sweep ~pads ~det_pct:100 ~combine
+       ~batch
+       ~mk:(if combine then "dss-fc" else "dss-queue")
+       ~nthreads ~duration ())
+
+let pad_sweep_cmd =
+  let pads =
+    Arg.(
+      value
+      & opt (list int) [ 0; 7; 15; 31 ]
+      & info [ "pads" ] ~docv:"WORDS"
+          ~doc:"padding strides (filler words per isolated cell) to sweep")
+  in
+  let batch =
+    Arg.(
+      value & opt pos_int 8
+      & info [ "batch" ] ~docv:"PAIRS"
+          ~doc:"operation pairs per persist epoch (with $(b,--combine))")
+  in
+  Cmd.v
+    (Cmd.info "pad-sweep"
+       ~doc:"padding-stride sweep on the native backend")
+    Term.(
+      const run_pad_sweep $ pads $ nthreads_arg $ duration_arg $ combine_arg
+      $ batch)
+
+(* ------------------------- bechamel latency -------------------------- *)
+
+(* Wall-clock per-operation latency on the native backend, one
+   Test.make per queue implementation and detectability mode. *)
+let run_bechamel () =
+  let open Bechamel in
+  let open Toolkit in
+  Dssq_memory.Persist_cost.calibrate ();
+  Dssq_memory.Persist_cost.configure ~flush:150 ();
+  let module R = Dssq_workload.Registry.Make (Dssq_memory.Native) in
+  let mk_test (name, mk) =
+    let ops : Dssq_core.Queue_intf.ops =
+      mk ?system:None (Dssq_core.Queue_intf.config ~nthreads:1 ~capacity:4096 ())
+    in
+    let i = ref 0 in
+    [
+      Test.make
+        ~name:(name ^ "/plain-pair")
+        (Staged.stage (fun () ->
+             incr i;
+             ops.enqueue ~tid:0 (!i land 0xFFFF);
+             ignore (ops.dequeue ~tid:0)));
+      Test.make
+        ~name:(name ^ "/detectable-pair")
+        (Staged.stage (fun () ->
+             incr i;
+             ops.d_enqueue ~tid:0 (!i land 0xFFFF);
+             ignore (ops.d_dequeue ~tid:0)));
+    ]
+  in
+  let test =
+    Test.make_grouped ~name:"queues" ~fmt:"%s %s" (List.concat_map mk_test R.all)
+  in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+  in
+  let raw = Benchmark.all cfg instances test in
+  let results =
+    Analyze.merge ols instances
+      (List.map (fun instance -> Analyze.all ols instance raw) instances)
+  in
+  Printf.printf
+    "## Bechamel wall-clock latency (native backend, %d ns/flush charged)\n"
+    (Dssq_memory.Persist_cost.current_flush_ns ());
+  Hashtbl.iter
+    (fun label result_tbl ->
+      if label = Measure.label Instance.monotonic_clock then
+        Hashtbl.iter
+          (fun name result ->
+            match Analyze.OLS.estimates result with
+            | Some [ est ] -> Printf.printf "%-44s %10.0f ns/pair\n" name est
+            | _ -> ())
+          result_tbl)
+    results;
+  print_newline ()
+
+let bechamel_cmd =
+  Cmd.v
+    (Cmd.info "bechamel" ~doc:"wall-clock op latency via bechamel (native)")
+    Term.(const run_bechamel $ const ())
 
 (* ----------------------------- bench-diff ----------------------------- *)
 
 (* Compare two run reports — typically the checked-in BENCH_*.json
-   baseline against a fresh `bench regress` run — and exit non-zero when
+   baseline against a fresh `dssq regress` run — and exit non-zero when
    throughput regressed.  Points are matched on (series label, x); the
    statistic is the mean of the throughput samples at each point.  Points
    present in only one file are reported but not gated on, so adding or
@@ -654,10 +1089,9 @@ let metrics_object_run name pairs line_size combine persistency =
   let r =
     Dssq_workload.Zoo.run_one ~pairs ~line_size ~combine ~persistency name
   in
-  Printf.printf "object: %s   backend: sim%s%s   ops: %d (all detectable)\n\n"
+  Printf.printf "object: %s   backend: sim%s   ops: %d (all detectable)\n\n"
     name
-    (if persistency = Heap.Persistency.Px86 then "+px86" else "")
-    (if combine then "+fc" else "")
+    (mode_suffix ~coalesce:false ~combine persistency)
     r.z_ops;
   print_event_table ~ops:r.z_ops r.z_events;
   Printf.printf "\npersistent_words_per_op: %.2f   flushes_per_op: %.2f\n"
@@ -716,11 +1150,9 @@ let metrics_queue_run queue pairs det_pct line_size coalesce combine
       in
       ignore (Sim.run heap ~threads:[ worker 0; worker 1 ]);
       let c = M.counters () in
-      Printf.printf
-        "queue: %s   backend: sim%s%s%s   ops: %d   detectable: %d%%\n\n" queue
-        (if coalesce then "+coalesce" else "")
-        (if persistency = Heap.Persistency.Px86 then "+px86" else "")
-        (if combine then "+fc" else "")
+      Printf.printf "queue: %s   backend: sim%s   ops: %d   detectable: %d%%\n\n"
+        queue
+        (mode_suffix ~coalesce ~combine persistency)
         !completed det_pct;
       print_event_table ~ops:!completed c;
       (match ops.stats () with
@@ -787,7 +1219,7 @@ let metrics_cmd =
   in
   let det =
     Arg.(
-      value & opt int 100
+      value & opt percent 100
       & info [ "det" ] ~doc:"percent of detectable operations (queues only)")
   in
   Cmd.v
@@ -837,14 +1269,7 @@ let zoo_run pairs line_size combine json =
   match json with
   | None -> ()
   | Some file ->
-      let report = Dssq_workload.Zoo.to_report ~pairs ~line_size rows in
-      (match Dssq_obs.Run_report.write file report with
-      | () ->
-          Printf.printf "wrote %s (%s v%d)\n" file
-            Dssq_obs.Run_report.schema_name Dssq_obs.Run_report.schema_version
-      | exception Sys_error msg ->
-          Printf.eprintf "dssq: cannot write report: %s\n" msg;
-          exit 1)
+      write_report file (Dssq_workload.Zoo.to_report ~pairs ~line_size rows)
 
 let zoo_cmd =
   let pairs =
@@ -874,7 +1299,6 @@ module Zoo = Dssq_workload.Zoo
 module Heatmap = Dssq_obs.Heatmap
 module Profile = Dssq_obs.Profile
 module Prom = Dssq_obs.Prom
-module MI = Dssq_memory.Memory_intf
 
 (* Attribution-grade profiling of the detectable-object zoo: the
    per-line persistence heatmap (which persist lines absorb the writes,
@@ -919,11 +1343,9 @@ let profile_run object_ backend pairs line_size coalesce combine persistency
     (fun (name, (p : Zoo.profile)) ->
       let r = p.Zoo.p_row in
       let c = r.Zoo.z_events in
-      Printf.printf "== %s  backend: %s%s%s%s  ops: %d  line size: %d%s ==\n"
+      Printf.printf "== %s  backend: %s%s  ops: %d  line size: %d%s ==\n"
         name backend_name
-        (if coalesce then "+coalesce" else "")
-        (if persistency = Heap.Persistency.Px86 then "+px86" else "")
-        (if combine then "+fc" else "")
+        (mode_suffix ~coalesce ~combine persistency)
         r.Zoo.z_ops line_size
         (if crash then "  (with crash + recovery)" else "");
       Format.printf "%a@?" Profile.pp_rows p.Zoo.p_phases;
@@ -985,7 +1407,8 @@ let profile_run object_ backend pairs line_size coalesce combine persistency
                 (List.map
                    (fun (k, v) -> (k, Json.String v))
                    (* The zoo's workload is fixed at two threads. *)
-                   (provenance ~threads:[ 2 ] ~line_size ~coalesce ())) );
+                   (provenance ~threads:[ 2 ] ~line_sizes:[ line_size ]
+                      ~coalesce ())) );
             ( "objects",
               Json.List
                 (List.map
@@ -1099,17 +1522,6 @@ let profile_cmd =
       const profile_run $ object_ $ backend $ pairs $ line_size_arg
       $ coalesce_arg $ combine_arg $ persistency_arg $ crash $ with_heatmap
       $ top $ json_arg $ prom)
-
-let latency_cmd =
-  let run () =
-    Printf.printf "%-16s%14s%14s%9s\n" "queue" "plain_ns" "detectable_ns" "ratio";
-    List.iter
-      (fun (name, nondet, det) ->
-        Printf.printf "%-16s%14.0f%14.0f%9.2f\n" name nondet det
-          (if nondet > 0. then det /. nondet else 0.))
-      (Experiments.op_latency ())
-  in
-  Cmd.v (Cmd.info "latency" ~doc:"modelled per-op latency") Term.(const run $ const ())
 
 (* ---------------------------- crash demo ----------------------------- *)
 
@@ -1298,7 +1710,7 @@ let trace_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"schedule seed") in
   let capacity =
     Arg.(
-      value & opt int 4096
+      value & opt pos_int 4096
       & info [ "capacity" ] ~doc:"per-thread ring-buffer capacity")
   in
   let timeline =
@@ -1936,12 +2348,14 @@ let info_cmd =
       \  dssq.universal recoverable universal construction of D<T>\n\
       \  dssq.ebr       epoch-based reclamation\n\
       \  dssq.obs       histograms, metrics, JSON run reports (--json)\n\n\
-       Experiments: fig5a, fig5b, ablate-flush, ablate-demand,\n\
-       ablate-recovery, ablate-pmwcas, ablate-linesize, latency, metrics,\n\
-       zoo (persistent_words_per_op across the detectable-object zoo),\n\
-       profile (persistence heatmap + phase-attributed profiler),\n\
-       lincheck, crash-demo, trace, explore.  See DESIGN.md and\n\
-       EXPERIMENTS.md.\n"
+       Experiments: all (every figure and ablation in one run), fig5a,\n\
+       fig5b, ablate-flush, ablate-demand, ablate-recovery, ablate-depth,\n\
+       ablate-crashes, ablate-pmwcas, ablate-linesize, latency, regress\n\
+       and bench-diff (the BENCH_*.json regression gate), combine,\n\
+       pad-sweep, bechamel, metrics, zoo (persistent_words_per_op across\n\
+       the detectable-object zoo), profile (persistence heatmap +\n\
+       phase-attributed profiler), lincheck, crash-demo, trace, explore,\n\
+       fsck.  See DESIGN.md and EXPERIMENTS.md.\n"
   in
   Cmd.v (Cmd.info "info" ~doc:"what this repository implements") Term.(const run $ const ())
 
@@ -1955,20 +2369,23 @@ let () =
     (Cmd.eval
        (Cmd.group ~default
           (Cmd.info "dssq" ~doc:"DSS queue reproduction toolkit")
-          ([
-             fig5a_cmd;
-             fig5b_cmd;
-             ablate_linesize_cmd;
-             bench_diff_cmd;
-             fsck_cmd;
-             metrics_cmd;
-             zoo_cmd;
-             profile_cmd;
-             latency_cmd;
-             crash_demo_cmd;
-             trace_cmd;
-             lincheck_cmd;
-             explore_cmd;
-             info_cmd;
-           ]
-          @ ablate_cmds)))
+          ([ all_cmd; fig_cmd `Fig5a; fig_cmd `Fig5b ]
+          @ List.map ablation_cmd ablations
+          @ [
+              ablate_linesize_cmd;
+              latency_cmd;
+              regress_cmd;
+              bench_diff_cmd;
+              combine_cmd;
+              pad_sweep_cmd;
+              bechamel_cmd;
+              fsck_cmd;
+              metrics_cmd;
+              zoo_cmd;
+              profile_cmd;
+              crash_demo_cmd;
+              trace_cmd;
+              lincheck_cmd;
+              explore_cmd;
+              info_cmd;
+            ])))

@@ -1,13 +1,14 @@
 (** Drivers for every figure of the paper's evaluation and for the
-    ablations listed in DESIGN.md.  Both the benchmark executable and the
-    CLI dispatch here, so the experiments are defined exactly once. *)
+    ablations listed in DESIGN.md.  The [dssq] CLI dispatches here, so the
+    experiments are defined exactly once. *)
 
 open Dssq_pmem
 module Sim = Dssq_sim.Sim
 
 type backend = Sim_model | Native_domains
 
-let default_threads = [ 1; 2; 3; 4; 6; 8; 10; 12; 14; 16; 18; 20 ]
+(* The thread counts EXPERIMENTS.md's Figure 5a table was measured at. *)
+let default_threads = [ 1; 2; 4; 8; 12; 16; 20 ]
 
 type queue_config = { label : string; mk : string; det_pct : int }
 
@@ -30,7 +31,7 @@ let measure_point ~backend ~horizon_ns ~duration ~repeats ~instrument
     [instrument] is set).  [line_size] (default 1 = the legacy
     word-granular persistence model) sets the backend's persist-line
     size for every measurement. *)
-let sweep_ex ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
+let sweep ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
     ?(horizon_ns = 300_000.) ?(duration = 0.2) ?(instrument = false)
     ?(line_size = 1) ?(coalesce = false) ?(combine = false) ?(batch = 8)
     (queues : queue_config list) : Dssq_obs.Run_report.series list =
@@ -48,12 +49,6 @@ let sweep_ex ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
       })
     queues
 
-let sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    ?combine ?batch (queues : queue_config list) : Report.series list =
-  Report.of_run
-    (sweep_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size
-       ?coalesce ?combine ?batch queues)
-
 (* ---------------------------------------------------------------------- *)
 (* Figure 5a: levels of detectability and persistence                      *)
 (* ---------------------------------------------------------------------- *)
@@ -65,14 +60,9 @@ let fig5a_queues =
     { label = "dss-det"; mk = "dss-queue"; det_pct = 100 };
   ]
 
-let fig5a ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    () =
-  sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    fig5a_queues
-
-let fig5a_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
+let fig5a ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
     ?line_size ?coalesce () =
-  sweep_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
+  sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
     ?line_size ?coalesce fig5a_queues
 
 (* ---------------------------------------------------------------------- *)
@@ -87,14 +77,9 @@ let fig5b_queues =
     { label = "gen-caswe"; mk = "general-caswe"; det_pct = 100 };
   ]
 
-let fig5b ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    () =
-  sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    fig5b_queues
-
-let fig5b_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
+let fig5b ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
     ?line_size ?coalesce () =
-  sweep_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
+  sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
     ?line_size ?coalesce fig5b_queues
 
 (* ---------------------------------------------------------------------- *)
@@ -400,8 +385,8 @@ let ablate_pmwcas ?(widths = [ 1; 2; 3; 4 ]) ?(line_size = 1) () :
    figures use), so the coalescing win is measured without the separate
    line-size elision effect.
 
-   [quick] is the CI smoke configuration: sim backend only, two thread
-   counts, one repeat — deterministic (fixed seeds) and a few seconds of
+   [quick] is the CI smoke configuration: sim backend only, 1, 4 and 8
+   threads (16 on hosts with at least 16 domains), one repeat — deterministic (fixed seeds) and a few seconds of
    work.  Full mode adds the native backend, whose wall-clock samples
    are noisy on a loaded machine; [dssq bench-diff]'s tolerance exists
    for exactly that. *)
@@ -432,7 +417,7 @@ let regress ?(quick = false) () : Dssq_obs.Run_report.series list =
       ^ (if coalesce then "+co" else "")
       ^ if combine then "+fc" else ""
     in
-    sweep_ex ~backend ~threads ~repeats ~horizon_ns ~duration:0.1
+    sweep ~backend ~threads ~repeats ~horizon_ns ~duration:0.1
       ~instrument:true ~line_size:1 ~coalesce ~combine queues
     |> List.map (fun (s : Dssq_obs.Run_report.series) ->
            { s with label = prefix ^ "/" ^ s.label })

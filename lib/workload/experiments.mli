@@ -1,10 +1,12 @@
 (** Drivers for every figure of the paper's evaluation and the DESIGN.md
-    ablations.  Both the benchmark executable and the CLI dispatch here,
-    so each experiment is defined exactly once. *)
+    ablations.  The [dssq] CLI dispatches here, so each experiment is
+    defined exactly once. *)
 
 type backend = Sim_model | Native_domains
 
 val default_threads : int list
+(** [1; 2; 4; 8; 12; 16; 20]: the thread counts of the Figure 5a/5b
+    sweeps. *)
 
 type queue_config = { label : string; mk : string; det_pct : int }
 
@@ -21,7 +23,7 @@ val fc_queues : queue_config list
     (["dss-linked"]), both fully detectable — the set [regress] sweeps
     with combine on (the ["sim+fc/"] series). *)
 
-val sweep_ex :
+val sweep :
   ?backend:backend ->
   ?threads:int list ->
   ?repeats:int ->
@@ -43,33 +45,7 @@ val sweep_ex :
     [combine] (default false) runs in flat-combining batch-epoch mode,
     one driver drain per [batch] (default 8) operation pairs. *)
 
-val sweep :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  ?batch:int ->
-  queue_config list ->
-  Report.series list
-(** Throughput-only view of {!sweep_ex}. *)
-
 val fig5a :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  unit ->
-  Report.series list
-(** MS queue vs DSS non-detectable vs DSS detectable (Figure 5a). *)
-
-val fig5a_ex :
   ?backend:backend ->
   ?threads:int list ->
   ?repeats:int ->
@@ -80,7 +56,8 @@ val fig5a_ex :
   ?coalesce:bool ->
   unit ->
   Dssq_obs.Run_report.series list
-(** Figure 5a with the observability payload. *)
+(** MS queue vs DSS non-detectable vs DSS detectable (Figure 5a), one
+    {!sweep} over {!fig5a_queues}. *)
 
 val fig5b :
   ?backend:backend ->
@@ -88,24 +65,13 @@ val fig5b :
   ?repeats:int ->
   ?horizon_ns:float ->
   ?duration:float ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  unit ->
-  Report.series list
-(** DSS vs log vs Fast/General CASWithEffect (Figure 5b). *)
-
-val fig5b_ex :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
   ?instrument:bool ->
   ?line_size:int ->
   ?coalesce:bool ->
   unit ->
   Dssq_obs.Run_report.series list
-(** Figure 5b with the observability payload. *)
+(** DSS vs log vs Fast/General CASWithEffect (Figure 5b), one {!sweep}
+    over {!fig5b_queues}. *)
 
 val ablate_flush :
   ?nthreads:int ->
@@ -186,7 +152,7 @@ val ablate_pmwcas :
 (** PMwCAS modelled ns/op vs word count, all-shared vs private-rest. *)
 
 val regress : ?quick:bool -> unit -> Dssq_obs.Run_report.series list
-(** The benchmark-regression sweep behind [bench regress] /
+(** The benchmark-regression sweep behind [dssq regress] /
     [BENCH_*.json]: {!linesize_queues} with coalescing off and on, plus
     {!fc_queues} with combine on, instrumented, at line size 1.  Series
     labels are prefixed ["sim/"], ["sim+co/"], ["sim+fc/"], ["native/"],

@@ -146,7 +146,8 @@ let test_report_rendering () =
 
 let test_experiments_tiny () =
   let series =
-    Experiments.fig5a ~threads:[ 1; 2 ] ~repeats:1 ~horizon_ns:20_000. ()
+    Report.of_run
+      (Experiments.fig5a ~threads:[ 1; 2 ] ~repeats:1 ~horizon_ns:20_000. ())
   in
   Alcotest.(check int) "three series" 3 (List.length series);
   List.iter
